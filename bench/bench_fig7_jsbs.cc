@@ -158,7 +158,8 @@ main(int argc, char **argv)
             for (const auto &p : payloads) {
                 ByteSource src(p);
                 Address out = des.readObject(src);
-                panicIf(out == nullAddr, name + ": null result");
+                if (out == nullAddr)
+                    panic(name + ": null result");
             }
             des.releaseReceived();
         }

@@ -108,7 +108,8 @@ ManagedHeap::allocateYoung(std::size_t bytes)
 Address
 ManagedHeap::allocateInstance(Klass *k)
 {
-    panicIf(k->isArray(), "allocateInstance on array klass " + k->name());
+    if (k->isArray())
+        panic("allocateInstance on array klass " + k->name());
     Address a = allocateYoung(k->instanceBytes());
     initHeader(a, k);
     return a;
@@ -117,7 +118,8 @@ ManagedHeap::allocateInstance(Klass *k)
 Address
 ManagedHeap::allocateArray(Klass *k, std::size_t length)
 {
-    panicIf(!k->isArray(), "allocateArray on non-array klass " + k->name());
+    if (!k->isArray())
+        panic("allocateArray on non-array klass " + k->name());
     Address a = allocateYoung(k->arrayBytes(length));
     initHeader(a, k);
     storeWord(a, format().arrayLengthOffset(), length);
@@ -159,7 +161,11 @@ ManagedHeap::allocateOldForGc(std::size_t bytes)
                 fr.bytes = rest;
                 writeFiller(fr.addr, rest);
             } else {
-                // Too small to track; absorb into the allocation.
+                // Too small to track. The caller knows only the bytes
+                // it asked for, so cover a one-word remainder with a
+                // filler itself: otherwise old-gen walks read it as
+                // an object header.
+                writeFillerAny(a + bytes, rest);
                 bytes = fr.bytes;
                 fr.bytes = 0;
             }

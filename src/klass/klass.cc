@@ -54,7 +54,8 @@ const FieldDesc &
 Klass::requireField(const std::string &name) const
 {
     const FieldDesc *f = findField(name);
-    panicIf(!f, "Klass " + name_ + ": no field named " + name);
+    if (!f)
+        panic("Klass " + name_ + ": no field named " + name);
     return *f;
 }
 
@@ -71,8 +72,8 @@ void
 ClassCatalog::define(ClassDef def)
 {
     auto [it, inserted] = defs_.emplace(def.name, std::move(def));
-    panicIf(!inserted, "ClassCatalog: duplicate definition of " +
-                           it->first);
+    if (!inserted)
+        panic("ClassCatalog: duplicate definition of " + it->first);
 }
 
 const ClassDef *
@@ -152,7 +153,8 @@ KlassTable::loadInstanceKlass(const ClassDef &def)
 Klass *
 KlassTable::loadArrayKlass(const std::string &descriptor)
 {
-    panicIf(descriptor.size() < 2, "bad array descriptor: " + descriptor);
+    if (descriptor.size() < 2)
+        panic("bad array descriptor: " + descriptor);
     auto k = std::unique_ptr<Klass>(new Klass());
     k->name_ = descriptor;
     k->format_ = format_;
@@ -160,8 +162,8 @@ KlassTable::loadArrayKlass(const std::string &descriptor)
 
     char d = descriptor[1];
     if (d == 'L') {
-        panicIf(descriptor.back() != ';',
-                "bad ref-array descriptor: " + descriptor);
+        if (descriptor.back() != ';')
+            panic("bad ref-array descriptor: " + descriptor);
         k->elemType_ = FieldType::Ref;
         k->elemClassName_ = descriptor.substr(2, descriptor.size() - 3);
     } else if (d == '[') {
@@ -202,10 +204,10 @@ KlassTable::layout(Klass &k, const ClassDef &def)
         // ambiguous. Reject it at load time instead of corrupting
         // silently.
         for (const FieldDesc &existing : k.allFields_) {
-            panicIf(existing.name == fd.name,
-                    "KlassTable: field '" + fd.name + "' in " +
-                        def.name + " shadows an existing field; "
-                        "shadowing is not supported");
+            if (existing.name == fd.name)
+                panic("KlassTable: field '" + fd.name + "' in " +
+                      def.name + " shadows an existing field; "
+                      "shadowing is not supported");
         }
         std::size_t sz = fieldSize(fd.type);
         offset = alignUp(offset, sz);

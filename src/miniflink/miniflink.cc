@@ -70,8 +70,9 @@ FlinkRowSerializer::FlinkRowSerializer(
                 found = true;
             }
         }
-        panicIf(!found, "FlinkRowSerializer: no field " + name +
-                            " in " + row_class);
+        if (!found)
+            panic("FlinkRowSerializer: no field " + name + " in " +
+                  row_class);
     }
     for (std::size_t i = 0; i < fields.size(); ++i) {
         if (neededMask_[i]) {

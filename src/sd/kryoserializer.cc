@@ -41,8 +41,8 @@ KryoRegistry::registerClass(const std::string &class_name,
                             KryoManual manual)
 {
     auto it = index_.find(class_name);
-    panicIf(it != index_.end(),
-            "KryoRegistry: " + class_name + " registered twice");
+    if (it != index_.end())
+        panic("KryoRegistry: " + class_name + " registered twice");
     int id = static_cast<int>(entries_.size());
     entries_.push_back(Entry{class_name, std::move(manual)});
     index_[class_name] = id;

@@ -18,6 +18,10 @@ namespace skyway
 namespace
 {
 
+/** Capacity of a buffer's first regular chunk when the configured
+ *  chunk size is larger; later chunks double up to that size. */
+constexpr std::size_t firstChunkBytes = 4 << 10;
+
 /** Registry-backed receiver counters, resolved once per process. */
 struct ReceiverMetrics
 {
@@ -56,6 +60,7 @@ InputBuffer::InputBuffer(SkywayContext &ctx, std::size_t chunk_bytes)
     : ctx_(ctx),
       heap_(ctx.heap()),
       chunkBytes_(chunk_bytes),
+      nextChunkBytes_(std::min(chunk_bytes, firstChunkBytes)),
       fmt_(ctx.heap().format())
 {
     panicIf(chunk_bytes < 4 * wordSize,
@@ -86,8 +91,8 @@ InputBuffer::klassForTid(std::int32_t tid)
     if (idx < tidCache_.size() && tidCache_[idx])
         return tidCache_[idx];
     Klass *k = ctx_.resolver().klassForId(tid);
-    panicIf(!k, "InputBuffer: unresolvable type id " +
-                    std::to_string(tid));
+    if (!k)
+        panic("InputBuffer: unresolvable type id " + std::to_string(tid));
     if (idx >= tidCache_.size())
         tidCache_.resize(idx + 1, nullptr);
     tidCache_[idx] = k;
@@ -110,9 +115,10 @@ InputBuffer::newChunk(std::size_t at_least)
     // Compact wire segments have arbitrary byte lengths; round the
     // capacity up so the finalize-time tail filler (and the heap
     // allocator) always see word-aligned extents.
-    std::size_t cap = wordAlign(std::max(chunkBytes_, at_least));
+    std::size_t cap = wordAlign(std::max(nextChunkBytes_, at_least));
     if (at_least > chunkBytes_)
         ++stats_.oversizedChunks;
+    nextChunkBytes_ = std::min(2 * nextChunkBytes_, chunkBytes_);
     // Tenured allocation: input buffers live in the old generation.
     // No zeroing: the transport fills the chunk with records and
     // finalize() covers the tail with a filler before the GC can walk
@@ -186,9 +192,9 @@ InputBuffer::commitReserved(std::size_t len, bool zero_copy,
         // stream offset. The validator must also read the bytes
         // before marker words are overwritten with fillers below.
         validator_->feed(reserved_, len);
-        panicIf(!validator_->ok(),
-                "SkywaySan: receiver wire validation failed: " +
-                    validator_->firstFault());
+        if (!validator_->ok())
+            panic("SkywaySan: receiver wire validation failed: " +
+                  validator_->firstFault());
     }
 
     if (len >= wordSize && wire::isCompactSegment(reserved_, len)) {
@@ -318,9 +324,9 @@ InputBuffer::feed(const std::uint8_t *data, std::size_t len)
     panicIf(finalized_, "InputBuffer: feed after finalize");
     if (validator_) {
         validator_->feed(data, len);
-        panicIf(!validator_->ok(),
-                "SkywaySan: receiver wire validation failed: " +
-                    validator_->firstFault());
+        if (!validator_->ok())
+            panic("SkywaySan: receiver wire validation failed: " +
+                  validator_->firstFault());
     }
     // Compatibility path for byte-owning callers: split the segment
     // at item boundaries into batches that pack into regular-size
@@ -341,18 +347,19 @@ InputBuffer::feed(const std::uint8_t *data, std::size_t len)
             }
         }
         std::size_t avail = chunks_.empty()
-                                ? chunkBytes_
+                                ? nextChunkBytes_
                                 : chunks_.back().cap -
                                       chunks_.back().fill;
         std::size_t batch = scanBatch(data + off, len - off, avail);
         if (batch == 0) {
-            // Nothing fits the current chunk; size the batch for a
-            // fresh chunk (oversized when one record alone exceeds
-            // the regular chunk size).
+            // Nothing fits the current chunk; size the batch for the
+            // next regular chunk (exactly one record's size when that
+            // record alone exceeds it).
             std::size_t first = itemSize(data + off, len - off);
-            batch = (first >= chunkBytes_)
+            batch = (first >= nextChunkBytes_)
                         ? first
-                        : scanBatch(data + off, len - off, chunkBytes_);
+                        : scanBatch(data + off, len - off,
+                                    nextChunkBytes_);
         }
         std::uint8_t *dst = reserveChunk(batch);
         std::memcpy(dst, data + off, batch);
@@ -474,9 +481,9 @@ InputBuffer::finalize()
         // Reject a corrupt stream *before* absolutization writes
         // anything into the heap.
         validator_->finish();
-        panicIf(!validator_->ok(),
-                "SkywaySan: receiver wire validation failed: " +
-                    validator_->firstFault());
+        if (!validator_->ok())
+            panic("SkywaySan: receiver wire validation failed: " +
+                  validator_->firstFault());
     }
     for (Chunk &c : chunks_)
         absolutizeChunk(c);
@@ -522,9 +529,9 @@ InputBuffer::auditRebuilt() const
             }
             starts.insert(a);
             std::size_t size = heap_.objectSize(a);
-            panicIf(size == 0 || a + size > end,
-                    "SkywaySan: rebuilt object at " +
-                        std::to_string(a) + " overruns its chunk");
+            if (size == 0 || a + size > end)
+                panic("SkywaySan: rebuilt object at " +
+                      std::to_string(a) + " overruns its chunk");
             a += size;
         }
     }
@@ -537,21 +544,21 @@ InputBuffer::auditRebuilt() const
                 continue;
             }
             Word m = heap_.markOf(a);
-            panicIf((m & ~(mark::hashMask | mark::hashComputedBit)) != 0,
-                    "SkywaySan: rebuilt " + heap_.klassOf(a)->name() +
-                        " carries non-transfer mark bits");
+            if ((m & ~(mark::hashMask | mark::hashComputedBit)) != 0)
+                panic("SkywaySan: rebuilt " + heap_.klassOf(a)->name() +
+                      " carries non-transfer mark bits");
             forEachRefSlot(heap_, a, [&](std::size_t off) {
                 Address t = heap_.loadRef(a, off);
                 // A reference either stays inside this buffer's
                 // rebuilt closure or was installed by a registered
                 // field update, which may point anywhere in the local
                 // heap.
-                panicIf(t != nullAddr && !starts.count(t) &&
-                            !heap_.contains(t),
-                        "SkywaySan: rebuilt " +
-                            heap_.klassOf(a)->name() +
-                            " references outside the input buffer "
-                            "and the heap");
+                if (t != nullAddr && !starts.count(t) &&
+                    !heap_.contains(t))
+                    panic("SkywaySan: rebuilt " +
+                          heap_.klassOf(a)->name() +
+                          " references outside the input buffer "
+                          "and the heap");
             });
             a += heap_.objectSize(a);
         }

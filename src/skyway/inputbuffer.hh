@@ -3,9 +3,12 @@
  * Skyway input buffers (paper section 4.3). One buffer per (sender,
  * stream); allocated in the *managed heap's old generation* so that
  * transferred objects are heap objects the moment they arrive. The
- * buffer is a linked list of fixed-size chunks — the total transfer
- * size is unknown while streaming, and large contiguous allocations
- * would fragment the old generation. An object never spans chunks;
+ * buffer is a linked list of chunks — the total transfer size is
+ * unknown while streaming, and large contiguous allocations would
+ * fragment the old generation. Regular chunks grow geometrically: the
+ * first is min(chunk size, 4 KiB), each later one doubles up to the
+ * configured chunk size, so a small transfer does not pin a whole
+ * chunk of old generation. An object never spans chunks;
  * oversized chunks are created for objects larger than the regular
  * chunk size.
  *
@@ -87,7 +90,7 @@ class InputBuffer
   public:
     /**
      * @param ctx         the receiving JVM's Skyway state
-     * @param chunk_bytes regular chunk size
+     * @param chunk_bytes regular chunk size the chunks grow to
      */
     explicit InputBuffer(SkywayContext &ctx,
                          std::size_t chunk_bytes =
@@ -180,6 +183,10 @@ class InputBuffer
     /** Size of the record whose bytes start at @p rec (local format). */
     std::size_t recordSize(const std::uint8_t *rec, Klass *k) const;
 
+    /**
+     * Open a chunk of the next regular capacity, or larger when
+     * @p at_least does not fit it; advances the regular capacity.
+     */
     void newChunk(std::size_t at_least);
 
     /**
@@ -239,6 +246,8 @@ class InputBuffer
     SkywayContext &ctx_;
     ManagedHeap &heap_;
     std::size_t chunkBytes_;
+    /** Capacity of the next regular chunk (grows to chunkBytes_). */
+    std::size_t nextChunkBytes_;
     ObjectFormat fmt_;
 
     std::vector<Chunk> chunks_;

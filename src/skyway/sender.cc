@@ -276,11 +276,21 @@ SkywaySender::publishMetrics()
 void
 SkywaySender::drain()
 {
-    while (!gray_.empty()) {
-        GrayItem item = gray_.front();
-        gray_.pop_front();
+    // FIFO over a vector that keeps its capacity across writeObject
+    // calls (a deque frees and reallocates a block every few dozen
+    // items). The consumed prefix is dropped once it is at least half
+    // of the vector, so a long chain stays a short queue.
+    std::size_t head = 0;
+    while (head < gray_.size()) {
+        GrayItem item = gray_[head++];
         writeRecord(item.obj, item.addr);
+        if (head >= 1024 && 2 * head >= gray_.size()) {
+            gray_.erase(gray_.begin(),
+                        gray_.begin() + static_cast<std::ptrdiff_t>(head));
+            head = 0;
+        }
     }
+    gray_.clear();
 }
 
 void

@@ -19,8 +19,8 @@
 #define SKYWAY_SKYWAY_SENDER_HH
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "skyway/baddr.hh"
 #include "skyway/context.hh"
@@ -130,7 +130,8 @@ class SkywaySender
     std::ptrdiff_t headerDelta_;
     std::uint8_t sid_ = 0;
 
-    std::deque<GrayItem> gray_;
+    /** Objects claimed but not yet copied, in BFS order (drain()). */
+    std::vector<GrayItem> gray_;
     /** Stream-local table for objects claimed by other streams. */
     std::unordered_map<Address, std::uint64_t> fallback_;
 

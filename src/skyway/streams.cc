@@ -58,9 +58,9 @@ void
 SkywayObjectOutputStream::checkWire()
 {
     validator_->finish();
-    panicIf(!validator_->ok(),
-            "SkywaySan: sender wire validation failed: " +
-                validator_->firstFault());
+    if (!validator_->ok())
+        panic("SkywaySan: sender wire validation failed: " +
+              validator_->firstFault());
 }
 
 SkywayFileOutputStream::SkywayFileOutputStream(SkywayContext &ctx,
@@ -221,9 +221,9 @@ SkywaySerializer::endStream(ByteSink &out)
     sender_->publishMetrics();
     if (wireValidator_) {
         wireValidator_->finish();
-        panicIf(!wireValidator_->ok(),
-                "SkywaySan: sender wire validation failed: " +
-                    wireValidator_->firstFault());
+        if (!wireValidator_->ok())
+            panic("SkywaySan: sender wire validation failed: " +
+                  wireValidator_->firstFault());
     }
     out.writeU32(0);
     // Fold this stream's stats into the running totals.

@@ -18,6 +18,13 @@ panic(const std::string &msg)
 }
 
 void
+panic(const char *msg)
+{
+    logMessage("panic", msg);
+    std::abort();
+}
+
+void
 fatal(const std::string &msg)
 {
     logMessage("fatal", msg);

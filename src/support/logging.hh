@@ -25,6 +25,9 @@ void logMessage(const char *severity, const std::string &msg);
  */
 [[noreturn]] void panic(const std::string &msg);
 
+/** panic() for a literal message: nothing is built at the call site. */
+[[noreturn]] void panic(const char *msg);
+
 /**
  * Exit with an error: the run cannot continue because of a condition that
  * is the caller's fault (bad configuration, invalid arguments).
@@ -38,14 +41,28 @@ void warn(const std::string &msg);
 void inform(const std::string &msg);
 
 /**
- * Assert an internal invariant; panics with @p msg when @p cond is false.
- * Unlike assert(3) this is active in all build types — the runtime
- * manipulates raw heap memory and silent corruption is worse than a halt.
+ * Assert an internal invariant; panics with @p msg when @p cond is
+ * true. Unlike assert(3) this is active in all build types — the
+ * runtime manipulates raw heap memory and silent corruption is worse
+ * than a halt.
+ *
+ * Checks run inside the per-byte and per-record loops of the sender,
+ * the receiver and the heap, so a check that passes must cost one
+ * branch and nothing else. The rule for writing one:
+ *
+ *  - A fixed message is a string literal: `panicIf(cond, "...")`.
+ *    The message parameter is a `const char *` and there is no
+ *    `std::string` overload, so a message that would be built (and
+ *    heap-allocated) before the test is a compile error.
+ *  - A message that needs runtime values is formatted only on
+ *    failure: `if (cond) panic("..." + std::to_string(v));`. panic()
+ *    is [[noreturn]], so the compiler already lays that branch out
+ *    as cold.
  */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, const char *msg)
 {
-    if (cond)
+    if (cond) [[unlikely]]
         panic(msg);
 }
 

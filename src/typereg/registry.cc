@@ -59,6 +59,7 @@ TypeRegistryDriver::idForClass(const std::string &name)
     auto id = static_cast<std::int32_t>(names_.size());
     registry_.emplace(name, id);
     names_.push_back(name);
+    klassById_.push_back(nullptr);
     return id;
 }
 
@@ -66,19 +67,29 @@ std::string
 TypeRegistryDriver::nameForId(std::int32_t id)
 {
     MutexLock lock(mutex_);
-    panicIf(id < 0 || static_cast<std::size_t>(id) >= names_.size(),
-            "TypeRegistryDriver: unknown type id " + std::to_string(id));
+    if (id < 0 || static_cast<std::size_t>(id) >= names_.size())
+        panic("TypeRegistryDriver: unknown type id " +
+              std::to_string(id));
     return names_[id];
 }
 
 Klass *
 TypeRegistryDriver::klassForId(std::int32_t id)
 {
-    // nameForId locks internally; klasses_.load() must run unlocked
-    // (its load hook re-enters idForClass).
+    {
+        MutexLock lock(mutex_);
+        if (id >= 0 && static_cast<std::size_t>(id) < klassById_.size() &&
+            klassById_[id])
+            return klassById_[id];
+    }
+    // First resolution of this id. nameForId locks internally;
+    // klasses_.load() must run unlocked (its load hook re-enters
+    // idForClass).
     Klass *k = klasses_.load(nameForId(id));
     if (k->tid() == Klass::unregisteredTid)
         k->setTid(id);
+    MutexLock lock(mutex_);
+    klassById_[id] = k;
     return k;
 }
 
@@ -293,8 +304,9 @@ TypeRegistryWorker::nameForId(std::int32_t id)
                      sink.takeBytes(), lookupOptions());
     ByteSource src(reply);
     std::string name = src.readString();
-    panicIf(name.empty(), "TypeRegistryWorker: unknown type id " +
-                              std::to_string(id));
+    if (name.empty())
+        panic("TypeRegistryWorker: unknown type id " +
+              std::to_string(id));
     insertView(name, id, hintFromByte(src.readU8()));
     return name;
 }
@@ -305,18 +317,28 @@ TypeRegistryWorker::klassForId(std::int32_t id)
     std::string name;
     {
         MutexLock lock(mutex_);
+        if (id >= 0 && static_cast<std::size_t>(id) < klassById_.size() &&
+            klassById_[id])
+            return klassById_[id];
         auto it = idToName_.find(id);
         if (it != idToName_.end())
             name = it->second;
     }
+    // First resolution of this id.
     if (name.empty())
         name = nameForId(id);
     Klass *k = klasses_.findLoaded(name);
-    if (k)
-        return k;
-    // Known name, not yet loaded: instruct the class loader (unlocked
-    // — the load hook re-enters idForClass).
-    return klasses_.load(name);
+    if (!k) {
+        // Known name, not yet loaded: instruct the class loader
+        // (unlocked — the load hook re-enters idForClass).
+        k = klasses_.load(name);
+    }
+    MutexLock lock(mutex_);
+    auto idx = static_cast<std::size_t>(id);
+    if (idx >= klassById_.size())
+        klassById_.resize(idx + 1, nullptr);
+    klassById_[idx] = k;
+    return k;
 }
 
 Klass *

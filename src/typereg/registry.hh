@@ -183,6 +183,12 @@ class TypeRegistryDriver : public TypeResolver
     std::unordered_map<std::string, std::int32_t> registry_ GUARDED_BY(
         mutex_);
     std::vector<std::string> names_ GUARDED_BY(mutex_); // id -> name
+    /**
+     * id -> this JVM's klass, filled on the first klassForId(id) and
+     * kept the same length as names_: a resolved id costs one lock
+     * and one index, no string copy and no KlassTable lookup.
+     */
+    std::vector<Klass *> klassById_ GUARDED_BY(mutex_);
     std::unordered_map<std::int32_t, int> hints_ GUARDED_BY(mutex_);
     RegistryStats stats_ GUARDED_BY(mutex_);
 };
@@ -266,6 +272,13 @@ class TypeRegistryWorker : public TypeResolver
         mutex_);
     std::unordered_map<std::int32_t, std::string> idToName_ GUARDED_BY(
         mutex_);
+    /**
+     * id -> this JVM's klass, filled on the first klassForId(id)
+     * (indexed by id; nullptr for an id not resolved yet). A resolved
+     * id costs one lock and one index, no string copy and no
+     * KlassTable lookup.
+     */
+    std::vector<Klass *> klassById_ GUARDED_BY(mutex_);
     std::unordered_map<std::int32_t, int> hints_ GUARDED_BY(mutex_);
     std::int32_t maxId_ GUARDED_BY(mutex_) = -1;
     RegistryStats stats_ GUARDED_BY(mutex_);

@@ -5,6 +5,9 @@
  * equality, and old-generation raw allocation.
  */
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "heap/heap.hh"
@@ -279,6 +282,32 @@ TEST_F(HeapTest, FillerRecordsAreWalkable)
     heap_->writeFiller(zone, 256);
     EXPECT_TRUE(ManagedHeap::isFiller(zone));
     EXPECT_EQ(ManagedHeap::fillerSize(zone), 256u);
+}
+
+TEST_F(HeapTest, OneWordFreeRangeRemainderStaysWalkable)
+{
+    // A promotion that leaves exactly one word of a free range behind:
+    // the range is too small to keep tracking, so the allocator must
+    // cover the word with a filler, or the next old-gen walk parses
+    // stale bytes as an object header.
+    Klass *k = klasses_->load("Scalar");
+    std::size_t size = k->instanceBytes();
+    Address zone = heap_->allocateOldRaw(size + wordSize);
+    std::memset(reinterpret_cast<void *>(zone), 0xa5, size + wordSize);
+    heap_->resetOldFreeList();
+    heap_->addOldFreeRange(zone, size + wordSize);
+
+    Address young = heap_->allocateInstance(k);
+    Address old = heap_->allocateOldForGc(size);
+    ASSERT_EQ(old, zone);
+    std::memcpy(reinterpret_cast<void *>(old),
+                reinterpret_cast<const void *>(young), size);
+
+    ASSERT_TRUE(ManagedHeap::isFiller(old + size));
+    EXPECT_EQ(ManagedHeap::fillerSize(old + size), wordSize);
+    std::vector<Address> visited;
+    heap_->forEachOldObject([&](Address a) { visited.push_back(a); });
+    EXPECT_EQ(visited, std::vector<Address>{old});
 }
 
 TEST_F(HeapTest, PinnedRangeLifecycle)

@@ -1,6 +1,7 @@
 #!/bin/sh
-# The full local gate: tier-1 tests, the lint label, the forced-
-# compaction pass (docs/WIRE_FORMAT.md), and the SKYWAY_ANALYZE build
+# The full local gate: tier-1 tests (with the `alloc` label's
+# allocation budget), the lint label, the forced-compaction pass
+# (docs/WIRE_FORMAT.md), and the SKYWAY_ANALYZE build
 # (docs/STATIC_ANALYSIS.md §5), in one command.
 #
 #   tools/check_all.sh [SOURCE_ROOT]
@@ -19,6 +20,9 @@ cmake --build "$root/build" -j "$jobs"
 
 echo "== [2/5] tier-1 test suite =="
 ctest --test-dir "$root/build" --output-on-failure -j "$jobs"
+# The allocation budget of the per-record paths (a counting operator
+# new; skipped in sanitizer trees), named so a failure reads as one.
+ctest --test-dir "$root/build" -L alloc --output-on-failure
 
 echo "== [3/5] lint label =="
 ctest --test-dir "$root/build" -L lint --output-on-failure
